@@ -119,7 +119,6 @@ def test_serving_slo():
         overload = asyncio.run(_drive(frontend, queries, OVERLOAD_CLIENTS))
     finally:
         frontend.close()
-        tier.close()
 
     def _answered(tally, clients):
         return tally["ok"] + tally["shed"] + tally["timeout"] == (

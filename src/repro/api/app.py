@@ -23,8 +23,9 @@ Routes (method, path template):
 * ``GET  /review/agreement``     — inter-reviewer agreement over
   doubly-reviewed claims.
 
-All integer query parameters are validated by :func:`_int_param`:
-non-integers and negatives return 400, never 500.
+All integer query parameters are validated by :func:`_int_param` and
+text ones by :func:`_str_param`: non-integers, negatives and
+multi-valued text return 400, never 500.
 """
 
 from __future__ import annotations
@@ -74,6 +75,16 @@ def _int_param(params: dict, name: str, default: int) -> int:
     return value
 
 
+def _str_param(params: dict, name: str) -> str:
+    """A required single-valued text query parameter, or 400."""
+    raw = params.get(name, "")
+    if not isinstance(raw, str):
+        raise ApiError(400, f"{name} must be a single string, got {raw!r}")
+    if not raw:
+        raise ApiError(400, f"missing query parameter {name}")
+    return raw
+
+
 def _opt_int_field(body: dict, name: str) -> int | None:
     """An optional integer body field, or 400."""
     raw = body.get(name)
@@ -118,9 +129,6 @@ class CreateApplication:
         serving_stats: optional callable returning the sharded serving
             layer's health (shards, epochs, cache hit rates, replica
             lag, promotions) for ``/stats``.
-        frontend_stats: optional callable returning the async front
-            end's admission health (shed/timeout/retry counters,
-            per-route latency percentiles) for ``/stats``.
         durability: optional WAL manager; when present, every
             report-mutating request seals its journaled ops into one
             commit record, and ``/stats`` serves WAL/recovery health.
@@ -138,7 +146,6 @@ class CreateApplication:
     metrics: "MetricsRegistry | None" = None
     runtime_stats: Callable[[], dict] | None = None
     serving_stats: Callable[[], dict] | None = None
-    frontend_stats: Callable[[], dict] | None = None
     durability: "DurabilityManager | None" = None
     review: ReviewQueue = field(default_factory=ReviewQueue)
 
@@ -385,9 +392,7 @@ class CreateApplication:
         return Response(200, {"deleted": doc_id})
 
     def _search(self, body: Any, params: dict) -> Response:
-        query = params.get("q", "")
-        if not query:
-            raise ApiError(400, "missing query parameter q")
+        query = _str_param(params, "q")
         size = _int_param(params, "size", 10)
         want_highlight = str(params.get("highlight", "")).lower() in (
             "1",
@@ -429,8 +434,6 @@ class CreateApplication:
             payload["pipeline"] = self.runtime_stats()
         if self.serving_stats is not None:
             payload["serving"] = self.serving_stats()
-        if self.frontend_stats is not None:
-            payload["frontend"] = self.frontend_stats()
         if self.metrics is not None:
             payload["metrics"] = self.metrics.snapshot()
         if self.durability is not None:
@@ -460,9 +463,7 @@ class CreateApplication:
     def _suggest(self, body: Any, params: dict) -> Response:
         from repro.search.suggest import QuerySuggester
 
-        prefix = params.get("q", "")
-        if not prefix:
-            raise ApiError(400, "missing query parameter q")
+        prefix = _str_param(params, "q")
         if self._suggester is None:
             suggester = QuerySuggester()
             suggester.add_from_graph(self.indexer.graph)

@@ -1,9 +1,9 @@
-"""Sharded query serving: partitioned indexes, parallel fan-out
-search with exact top-k merge, an invalidation-correct query cache,
-per-shard read replicas with WAL-shipped failover, and an
+"""Sharded query serving: partitioned indexes over one serving core
+(parallel fan-out with exact top-k merge behind an invalidation-correct
+query cache), per-shard read replicas with WAL-shipped failover, and an
 admission-controlled asyncio front end."""
 
-from repro.serving.cache import QueryCache
+from repro.serving.core import QueryCache, ShardRouter
 from repro.serving.engine import ShardedSearchEngine
 from repro.serving.frontend import Route, ServingFrontend
 from repro.serving.graph import ShardedPropertyGraph
@@ -12,11 +12,8 @@ from repro.serving.replica import (
     ReplicatedShardedSearchEngine,
     ShardReplicaSet,
 )
-from repro.serving.router import ShardRouter
-from repro.serving.segment_shards import ProcessShardedSegmentEngine
 
 __all__ = [
-    "ProcessShardedSegmentEngine",
     "QueryCache",
     "ReplicatedShardedSearchEngine",
     "Route",

@@ -2,87 +2,37 @@
 
 ``ShardedSearchEngine`` partitions documents across N independent
 :class:`~repro.search.engine.SearchEngine` shards by doc-id hash and
-executes every query as a parallel fan-out on the runtime
-:class:`~repro.runtime.executor.BatchExecutor`, merging per-shard
-top-k lists into the global top-k.
+runs every query through the serving core (:mod:`repro.serving.core`):
+an epoch-stamped cache in front of a parallel fan-out whose per-shard
+top-k lists merge into the global top-k.
 
 **Exact rank equivalence.**  BM25 depends on corpus statistics (``N``,
 ``df``, avgdl) that a shard holding 1/N of the corpus gets wrong.
 Each shard therefore scores through a
 :class:`~repro.search.engine.CorpusStatsIndexView` whose statistics
 are aggregated across *all* shards, so per-document scores are
-bit-identical to the unsharded engine and the merged top-k (with the
-engine's ``(-score, doc_id)`` tie-break) is exactly its ranking.
-
-An epoch-stamped :class:`~repro.serving.cache.QueryCache` sits in
-front of the fan-out; every ``index``/``delete`` bumps the owning
-shard's epoch, so a cached result can never be served stale.
+bit-identical to the unsharded engine and the merged top-k is exactly
+its ranking.
 """
 
 from __future__ import annotations
 
-import json
-import time
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.exceptions import SearchError
-from repro.runtime.executor import BatchExecutor
-from repro.search.engine import ScoredHit, SearchEngine
-from repro.serving.cache import QueryCache
-from repro.serving.router import ShardRouter
+from repro.search.engine import SearchEngine
+from repro.serving.core import (
+    FanOut,
+    Partitioned,
+    ShardedKeywordSearch,
+    ShardRouter,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.metrics import MetricsRegistry
 
 
-class _GlobalFieldStats:
-    """Corpus statistics for one field, summed across every shard."""
-
-    __slots__ = ("_field", "_shards")
-
-    def __init__(self, field_name: str, shards: list[SearchEngine]):
-        self._field = field_name
-        self._shards = shards
-
-    @property
-    def n_documents(self) -> int:
-        return sum(
-            shard._field_index(self._field).n_documents
-            for shard in self._shards
-        )
-
-    @property
-    def total_length(self) -> int:
-        return sum(
-            shard._field_index(self._field).total_length
-            for shard in self._shards
-        )
-
-    def document_frequency(self, term: str) -> int:
-        return sum(
-            shard._field_index(self._field).document_frequency(term)
-            for shard in self._shards
-        )
-
-
-class _ShardJournal:
-    """Conduit: a shard store's journaled ops land in the owning
-    facade's journal tagged with the shard id, so one WAL record can
-    carry (and replay) mutations across partitions."""
-
-    __slots__ = ("_owner", "_shard_id")
-
-    def __init__(self, owner, shard_id: int):
-        self._owner = owner
-        self._shard_id = shard_id
-
-    def append(self, op: dict) -> None:
-        journal = self._owner.journal
-        if journal is not None:
-            journal.append({"shard": self._shard_id, "o": op})
-
-
-class ShardedSearchEngine:
+class ShardedSearchEngine(ShardedKeywordSearch, Partitioned):
     """N-way sharded :class:`SearchEngine` with identical semantics.
 
     Args:
@@ -94,8 +44,10 @@ class ShardedSearchEngine:
             pass the serving layer's router so graph and keyword
             mutations share one epoch vector.
         cache_size: query-cache entries (0 disables the cache).
-        metrics: registry for per-shard and cache counters.
+        metrics: registry for the ``serving.engine.*`` metrics.
     """
+
+    error = SearchError
 
     def __init__(
         self,
@@ -106,192 +58,28 @@ class ShardedSearchEngine:
         cache_size: int = 256,
         metrics: "MetricsRegistry | None" = None,
     ):
-        self.router = router if router is not None else ShardRouter(n_shards)
-        if self.router.n_shards != n_shards:
-            raise SearchError(
-                f"router has {self.router.n_shards} shards, engine asked "
-                f"for {n_shards}"
-            )
+        super().__init__(
+            [
+                SearchEngine(field_analyzers, default_field=default_field)
+                for _ in range(n_shards)
+            ],
+            router,
+        )
         self.default_field = default_field
-        self.metrics = metrics
-        self.shards: list[SearchEngine] = [
-            SearchEngine(field_analyzers, default_field=default_field)
-            for _ in range(n_shards)
-        ]
         for shard in self.shards:
-            shard.stats_provider = self._stats_for_field
-        self._field_stats: dict[str, _GlobalFieldStats] = {}
-        self.cache = (
-            QueryCache(cache_size, self.router.epochs) if cache_size else None
+            shard.stats_provider = self._global_stats()
+        self.fan_out = FanOut(
+            "engine", n_shards, self.router.epochs, cache_size, metrics
         )
-        self._executor = BatchExecutor(workers=n_shards, mode="thread")
-        self._journal: list | None = None
 
-    @property
-    def n_shards(self) -> int:
-        return len(self.shards)
+    def _read(self, shard_id: int, fn: Callable[[SearchEngine], Any]) -> Any:
+        return fn(self.shards[shard_id])
 
-    def shard(self, shard_id: int) -> SearchEngine:
-        """Direct access to one partition (serving internals, tests)."""
-        return self.shards[shard_id]
+    _write = _read
 
-    def _stats_for_field(self, field_name: str) -> _GlobalFieldStats:
-        stats = self._field_stats.get(field_name)
-        if stats is None:
-            stats = _GlobalFieldStats(field_name, self.shards)
-            self._field_stats[field_name] = stats
-        return stats
-
-    # -- indexing ----------------------------------------------------------
-
-    def index(self, doc_id: Any, fields: dict[str, str]) -> None:
-        """Index (or re-index) a document on its owning shard."""
-        shard_id = self.router.shard_of(doc_id)
-        self.shards[shard_id].index(doc_id, fields)
-        self.router.bump(shard_id)
-
-    def delete(self, doc_id: Any) -> bool:
-        """Remove a document; returns False when it was absent."""
-        shard_id = self.router.shard_of(doc_id)
-        deleted = self.shards[shard_id].delete(doc_id)
-        if deleted:
-            self.router.bump(shard_id)
-        return deleted
-
-    @property
-    def n_documents(self) -> int:
-        return sum(shard.n_documents for shard in self.shards)
-
-    # -- search ------------------------------------------------------------
-
-    def search(self, query: str | dict, size: int = 10) -> list[ScoredHit]:
-        """Top ``size`` hits, exactly as the unsharded engine ranks them.
-
-        Cache-hitting queries skip the fan-out entirely; misses fan out
-        one task per shard, each returning its local top ``size`` under
-        global statistics, then merge on ``(-score, doc_id)``.
-        """
-        start = time.perf_counter()
-        if isinstance(query, str):
-            query = {self.default_field: query}
-            query = {"match": query}
-        key = None
-        stamp = None
-        if self.cache is not None:
-            key = (_canonical(query), size)
-            cached = self.cache.get(key)
-            if cached is not None:
-                self._record_search(start, cached=True)
-                return list(cached)
-            # Capture the epoch vector BEFORE the fan-out: a mutation
-            # landing while shards compute must make this entry stale
-            # at store time, not get papered over by a fresh stamp.
-            stamp = self.router.epochs()
-        hits = self._fan_out(query, size)
-        if self.cache is not None:
-            self.cache.put(key, list(hits), stamp=stamp)
-        self._record_search(start, cached=False)
-        return hits
-
-    def _fan_out(self, query: dict, size: int) -> list[ScoredHit]:
-        if self.n_shards == 1:
-            return self.shards[0].search(query, size=size)
-        outcomes = self._executor.map(
-            lambda shard: shard.search(query, size=size), self.shards
-        )
-        merged: list[ScoredHit] = []
-        for shard_id, outcome in enumerate(outcomes):
-            if not outcome.ok:
-                raise outcome.error
-            if self.metrics is not None:
-                self.metrics.record(
-                    f"serving.shard{shard_id}.search_seconds",
-                    outcome.duration,
-                )
-            merged.extend(outcome.value)
-        merged.sort(key=lambda hit: (-hit.score, str(hit.doc_id)))
-        return merged[:size]
-
-    def _record_search(self, start: float, cached: bool) -> None:
-        if self.metrics is None:
-            return
-        self.metrics.increment("serving.engine.searches")
-        if cached:
-            self.metrics.increment("serving.engine.cache_hits")
-        else:
-            self.metrics.increment("serving.engine.cache_misses")
-        self.metrics.record(
-            "serving.engine.search_seconds", time.perf_counter() - start
-        )
+    def _primaries(self) -> list[SearchEngine]:
+        return self.shards
 
     def explain_terms(self, field: str, text: str) -> list[str]:
         """Analyzer output (identical on every shard)."""
         return self.shards[0].explain_terms(field, text)
-
-    def highlight(
-        self, doc_id: Any, field: str, query_text: str, window: int = 60
-    ) -> list[str]:
-        """Snippets from the owning shard's stored copy."""
-        shard_id = self.router.shard_of(doc_id)
-        return self.shards[shard_id].highlight(
-            doc_id, field, query_text, window=window
-        )
-
-    # -- durability (repro.durability.Durable protocol) --------------------
-
-    @property
-    def journal(self) -> list | None:
-        return self._journal
-
-    @journal.setter
-    def journal(self, value: list | None) -> None:
-        # Attaching (or the manager's quiet-replay suspension) wires or
-        # unwires the per-shard conduits in lockstep, so shard-level
-        # mutations journal into this facade exactly while it has one.
-        self._journal = value
-        for shard_id, shard in enumerate(self.shards):
-            shard.journal = (
-                _ShardJournal(self, shard_id) if value is not None else None
-            )
-
-    def durable_apply(self, op: dict) -> None:
-        """Replay one shard-tagged op on the owning partition."""
-        shard_id = int(op["shard"])
-        self.shards[shard_id].durable_apply(op["o"])
-        self.router.bump(shard_id)
-
-    def durable_snapshot(self) -> dict:
-        return {
-            "n_shards": self.n_shards,
-            "shards": [shard.durable_snapshot() for shard in self.shards],
-        }
-
-    def durable_restore(self, state: dict) -> None:
-        """Restore every partition; shard count must match the snapshot
-        (resharding is a rebuild, not a restore)."""
-        if int(state.get("n_shards", -1)) != self.n_shards:
-            raise SearchError(
-                f"snapshot has {state.get('n_shards')} shards, engine has "
-                f"{self.n_shards}"
-            )
-        for shard_id, shard_state in enumerate(state["shards"]):
-            self.shards[shard_id].durable_restore(shard_state)
-            self.router.bump(shard_id)
-
-    # -- observability -----------------------------------------------------
-
-    def stats(self) -> dict:
-        """Shard occupancy, epochs and cache health for ``/stats``."""
-        out = {
-            "n_shards": self.n_shards,
-            "epochs": list(self.router.epochs()),
-            "shard_documents": [shard.n_documents for shard in self.shards],
-        }
-        if self.cache is not None:
-            out["cache"] = self.cache.stats()
-        return out
-
-
-def _canonical(query: dict) -> str:
-    """Stable cache key text for a query dict."""
-    return json.dumps(query, sort_keys=True, ensure_ascii=False, default=str)

@@ -10,22 +10,22 @@ graphs through the per-shard :class:`~repro.ir.indexer.CreateIrIndexer`
 instances that own them.
 
 Mutations bump the owning shard's epoch on the shared
-:class:`~repro.serving.router.ShardRouter`, which is what invalidates
+:class:`~repro.serving.core.ShardRouter`, which is what invalidates
 cached query results that depended on this partition.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import chain
 from typing import Any, Iterator
 
 from repro.exceptions import GraphError
 from repro.graphdb.graph import Edge, Node, PropertyGraph
-from repro.serving.engine import _ShardJournal
-from repro.serving.router import ShardRouter
+from repro.serving.core import Partitioned, ShardRouter
 
 
-class ShardedPropertyGraph:
+class ShardedPropertyGraph(Partitioned):
     """Doc-id-hash partitioned :class:`PropertyGraph` facade.
 
     Args:
@@ -33,28 +33,13 @@ class ShardedPropertyGraph:
         router: shared epoch/routing state (created when omitted).
     """
 
+    error = GraphError
+
     def __init__(self, n_shards: int, router: ShardRouter | None = None):
-        self.router = router if router is not None else ShardRouter(n_shards)
-        if self.router.n_shards != n_shards:
-            raise GraphError(
-                f"router has {self.router.n_shards} shards, graph asked "
-                f"for {n_shards}"
-            )
-        self.shards: list[PropertyGraph] = [
-            PropertyGraph() for _ in range(n_shards)
-        ]
+        super().__init__([PropertyGraph() for _ in range(n_shards)], router)
         # Facade-level executor slot; per-shard matches land on the
         # shard graphs' own counters (see merged_planner_counters).
         self.planner_counters: dict[str, int] = {}
-        self._journal: list | None = None
-
-    @property
-    def n_shards(self) -> int:
-        return len(self.shards)
-
-    def shard(self, shard_id: int) -> PropertyGraph:
-        """Direct access to one partition (serving internals, tests)."""
-        return self.shards[shard_id]
 
     def _owning_shard(self, node_id: str) -> int | None:
         for shard_id, shard in enumerate(self.shards):
@@ -142,45 +127,37 @@ class ShardedPropertyGraph:
     def n_edges(self) -> int:
         return sum(shard.n_edges for shard in self.shards)
 
-    def out_edges(self, node_id: str, label: str | None = None) -> list[Edge]:
+    def _on_owner(self, node_id: str, default: Any, method: str, *args):
+        """``method(node_id, *args)`` on the node's owning shard, or
+        ``default`` when no shard holds it."""
         shard_id = self._owning_shard(node_id)
         if shard_id is None:
-            return []
-        return self.shards[shard_id].out_edges(node_id, label)
+            return default
+        return getattr(self.shards[shard_id], method)(node_id, *args)
+
+    def out_edges(self, node_id: str, label: str | None = None) -> list[Edge]:
+        return self._on_owner(node_id, [], "out_edges", label)
 
     def in_edges(self, node_id: str, label: str | None = None) -> list[Edge]:
-        shard_id = self._owning_shard(node_id)
-        if shard_id is None:
-            return []
-        return self.shards[shard_id].in_edges(node_id, label)
+        return self._on_owner(node_id, [], "in_edges", label)
 
     def neighbors(self, node_id: str) -> set[str]:
-        shard_id = self._owning_shard(node_id)
-        if shard_id is None:
-            return set()
-        return self.shards[shard_id].neighbors(node_id)
+        return self._on_owner(node_id, set(), "neighbors")
 
     def out_degree(self, node_id: str, label: str | None = None) -> int:
-        shard_id = self._owning_shard(node_id)
-        if shard_id is None:
-            return 0
-        return self.shards[shard_id].out_degree(node_id, label)
+        return self._on_owner(node_id, 0, "out_degree", label)
 
     def in_degree(self, node_id: str, label: str | None = None) -> int:
-        shard_id = self._owning_shard(node_id)
-        if shard_id is None:
-            return 0
-        return self.shards[shard_id].in_degree(node_id, label)
+        return self._on_owner(node_id, 0, "in_degree", label)
 
     # -- cardinality statistics (planner inputs) ---------------------------
 
     def edge_label_counts(self) -> dict[str, int]:
         """Per-label edge counts summed across shards."""
-        merged: dict[str, int] = {}
+        merged: Counter[str] = Counter()
         for shard in self.shards:
-            for label, count in shard.edge_label_counts().items():
-                merged[label] = merged.get(label, 0) + count
-        return merged
+            merged.update(shard.edge_label_counts())
+        return dict(merged)
 
     def edge_label_count(self, label: str) -> int:
         return sum(shard.edge_label_count(label) for shard in self.shards)
@@ -219,11 +196,10 @@ class ShardedPropertyGraph:
         """Plan-execution counters: per-shard matches + facade-level
         matches (``planner_counters`` is the executor's mutable slot,
         like on the unsharded graph)."""
-        merged = dict(self.planner_counters)
+        merged = Counter(self.planner_counters)
         for shard in self.shards:
-            for key, count in shard.planner_counters.items():
-                merged[key] = merged.get(key, 0) + count
-        return merged
+            merged.update(shard.planner_counters)
+        return dict(merged)
 
     def planner_stats(self) -> dict:
         """The ``/stats`` planner section, aggregated over shards."""
@@ -246,41 +222,6 @@ class ShardedPropertyGraph:
             out.extend(shard.find_nodes(**criteria))
         out.sort(key=lambda node: node.node_id)
         return out
-
-    # -- durability (repro.durability.Durable protocol) --------------------
-
-    @property
-    def journal(self) -> list | None:
-        return self._journal
-
-    @journal.setter
-    def journal(self, value: list | None) -> None:
-        self._journal = value
-        for shard_id, shard in enumerate(self.shards):
-            shard.journal = (
-                _ShardJournal(self, shard_id) if value is not None else None
-            )
-
-    def durable_apply(self, op: dict) -> None:
-        shard_id = int(op["shard"])
-        self.shards[shard_id].durable_apply(op["o"])
-        self.router.bump(shard_id)
-
-    def durable_snapshot(self) -> dict:
-        return {
-            "n_shards": self.n_shards,
-            "shards": [shard.durable_snapshot() for shard in self.shards],
-        }
-
-    def durable_restore(self, state: dict) -> None:
-        if int(state.get("n_shards", -1)) != self.n_shards:
-            raise GraphError(
-                f"snapshot has {state.get('n_shards')} shards, graph has "
-                f"{self.n_shards}"
-            )
-        for shard_id, shard_state in enumerate(state["shards"]):
-            self.shards[shard_id].durable_restore(shard_state)
-            self.router.bump(shard_id)
 
     # -- observability -----------------------------------------------------
 

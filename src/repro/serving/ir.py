@@ -11,30 +11,28 @@ and the per-shard rankings merge into exactly the unsharded result
 (graph scores are per-document; keyword scores use cross-shard BM25
 statistics).
 
-An epoch-stamped LRU cache fronts the fused result; any
+The serving core's epoch-stamped cache fronts the fused result; any
 ``register_report``/``delete`` bumps the touched shard's epoch and
-thereby invalidates every cached query that could observe it.
+thereby invalidates every cached query that could observe it —
+including one whose fan-out was in flight when the write landed.
 """
 
 from __future__ import annotations
 
-import time
 from typing import TYPE_CHECKING
 
 from repro.ir.indexer import CreateIrIndexer, IndexedReport
 from repro.ir.query_parser import ParsedQuery, QueryParser
 from repro.ir.ranking import fuse_results
-from repro.ir.searcher import CreateIrSearcher, GraphMatchDetail, SearchResult
+from repro.ir.searcher import CreateIrSearcher, SearchResult
 from repro.ontology.normalize import ConceptNormalizer
-from repro.runtime.executor import BatchExecutor
 from repro.search.analysis import (
     CREATE_IR_ANALYZER_CONFIG,
     STANDARD_ANALYZER_CONFIG,
 )
-from repro.serving.cache import QueryCache
+from repro.serving.core import FanOut, ShardRouter, merge_top_k
 from repro.serving.engine import ShardedSearchEngine
 from repro.serving.graph import ShardedPropertyGraph
-from repro.serving.router import ShardRouter
 
 if TYPE_CHECKING:  # pragma: no cover
     from typing import Sequence
@@ -99,8 +97,8 @@ class ShardedIrIndexer:
         negated_span_ids: "Sequence[str]" = (),
     ) -> IndexedReport:
         """Index one report on the shard its doc id hashes to."""
-        shard_id = self.router.shard_of(doc_id)
-        record = self.shards[shard_id].index_report(
+        return self._routed(
+            "index_report",
             doc_id,
             title,
             text,
@@ -108,14 +106,17 @@ class ShardedIrIndexer:
             relations,
             negated_span_ids=negated_span_ids,
         )
-        self.router.bump(shard_id)
-        return record
 
     def index_annotation_document(self, doc_id, title, annotation_doc):
         """Convenience: index straight from an annotation document."""
+        return self._routed(
+            "index_annotation_document", doc_id, title, annotation_doc
+        )
+
+    def _routed(self, method: str, doc_id: str, *args, **kwargs):
         shard_id = self.router.shard_of(doc_id)
-        record = self.shards[shard_id].index_annotation_document(
-            doc_id, title, annotation_doc
+        record = getattr(self.shards[shard_id], method)(
+            doc_id, *args, **kwargs
         )
         self.router.bump(shard_id)
         return record
@@ -170,7 +171,7 @@ class ShardedIrIndexer:
 class ShardedIrSearcher:
     """Parallel fan-out executor for the Figure-6 search workflow.
 
-    Drop-in for :class:`CreateIrSearcher` over a
+    Stands in for :meth:`CreateIrSearcher.search` over a
     :class:`ShardedIrIndexer`: results are exactly the unsharded
     searcher's (same documents, scores, engines, order).
 
@@ -178,6 +179,7 @@ class ShardedIrSearcher:
         indexer: the populated sharded indexer.
         parser: query parser (None = accept only pre-parsed queries).
         relation_bonus: score bonus per matched query relation.
+        metrics: registry for the ``serving.ir.*`` metrics.
         cache_size: fused-result cache entries (0 disables).
     """
 
@@ -191,82 +193,31 @@ class ShardedIrSearcher:
     ):
         self._indexer = indexer
         self._parser = parser
-        self.relation_bonus = relation_bonus
-        self.metrics = metrics
         self._shard_searchers = [
             CreateIrSearcher(shard, parser=None, relation_bonus=relation_bonus)
             for shard in indexer.shards
         ]
-        self.cache = (
-            QueryCache(cache_size, indexer.router.epochs)
-            if cache_size
-            else None
+        self._fan_out = FanOut(
+            "ir", indexer.n_shards, indexer.router.epochs, cache_size, metrics
         )
-        self._executor = BatchExecutor(
-            workers=indexer.n_shards, mode="thread"
-        )
+        self.cache = self._fan_out.cache
 
     # -- public API --------------------------------------------------------
 
     def search(self, query, size: int = 10) -> list[SearchResult]:
-        """Search with a raw string (parsed) or a :class:`ParsedQuery`."""
-        start = time.perf_counter()
-        key = None
-        if self.cache is not None and isinstance(query, str):
-            key = ("ir", query, size)
-            cached = self.cache.get(key)
-            if cached is not None:
-                self._record(start, cached=True)
-                return list(cached)
-        if isinstance(query, str):
-            if self._parser is None:
-                parsed = ParsedQuery(text=query)
-            else:
-                parsed = self._parser.parse(query)
-        else:
+        """Search with a raw string (parsed) or a :class:`ParsedQuery`
+        (pre-parsed queries bypass the cache)."""
+        key = ("ir", query, size) if isinstance(query, str) else None
+        return self._fan_out.search(key, lambda: self._search(query, size))
+
+    def _search(self, query, size: int) -> list[SearchResult]:
+        if not isinstance(query, str):
             parsed = query
-        graph_ranked, keyword_ranked = self._fan_out(parsed, size)
-        results = [
-            SearchResult(doc_id, score, engine)
-            for doc_id, score, engine in fuse_results(
-                graph_ranked, keyword_ranked, size
-            )
-        ]
-        if key is not None:
-            self.cache.put(key, list(results))
-        self._record(start, cached=False)
-        return results
-
-    def graph_search(self, parsed: ParsedQuery) -> list[GraphMatchDetail]:
-        """Merged per-shard graph matches, globally ranked."""
-        details: list[GraphMatchDetail] = []
-        for shard_details in self._map_shards(
-            lambda searcher: searcher.graph_search(parsed)
-        ):
-            details.extend(shard_details)
-        details.sort(key=lambda detail: (-detail.score, detail.doc_id))
-        return details
-
-    def keyword_only(
-        self, query_text: str, size: int = 10
-    ) -> list[SearchResult]:
-        """Ablation: skip the graph engine entirely."""
-        return [
-            SearchResult(hit.doc_id, hit.score, "keyword")
-            for hit in self._indexer.engine.search(
-                {"match": {"body": query_text}}, size=size
-            )
-        ]
-
-    def cache_stats(self) -> dict | None:
-        return self.cache.stats() if self.cache is not None else None
-
-    # -- fan-out -----------------------------------------------------------
-
-    def _fan_out(self, parsed: ParsedQuery, size: int):
+        elif self._parser is None:
+            parsed = ParsedQuery(text=query)
+        else:
+            parsed = self._parser.parse(query)
         keyword_query = {"match": {"body": parsed.keyword_text()}}
-        graph_ranked: list[tuple[str, float]] = []
-        keyword_hits: list = []
 
         def one_shard(shard_id: int):
             details = self._shard_searchers[shard_id].graph_search(parsed)
@@ -275,45 +226,22 @@ class ShardedIrSearcher:
             )
             return details, hits
 
-        for details, hits in self._map_shards_indexed(one_shard):
-            graph_ranked.extend(
-                (detail.doc_id, detail.score) for detail in details
-            )
-            keyword_hits.extend(hits)
-        keyword_hits.sort(key=lambda hit: (-hit.score, str(hit.doc_id)))
-        keyword_ranked = [
-            (hit.doc_id, hit.score) for hit in keyword_hits[: size * 3]
+        per_shard = self._fan_out.map(one_shard)
+        graph_ranked = [
+            (detail.doc_id, detail.score)
+            for details, _ in per_shard
+            for detail in details
         ]
-        return graph_ranked, keyword_ranked
+        keyword_ranked = [
+            (hit.doc_id, hit.score)
+            for hit in merge_top_k((hits for _, hits in per_shard), size * 3)
+        ]
+        return [
+            SearchResult(doc_id, score, engine)
+            for doc_id, score, engine in fuse_results(
+                graph_ranked, keyword_ranked, size
+            )
+        ]
 
-    def _map_shards(self, fn):
-        return self._map_shards_indexed(
-            lambda shard_id: fn(self._shard_searchers[shard_id])
-        )
-
-    def _map_shards_indexed(self, fn):
-        if self._indexer.n_shards == 1:
-            return [fn(0)]
-        outcomes = self._executor.map(fn, range(self._indexer.n_shards))
-        values = []
-        for shard_id, outcome in enumerate(outcomes):
-            if not outcome.ok:
-                raise outcome.error
-            if self.metrics is not None:
-                self.metrics.record(
-                    f"serving.shard{shard_id}.ir_seconds", outcome.duration
-                )
-            values.append(outcome.value)
-        return values
-
-    def _record(self, start: float, cached: bool) -> None:
-        if self.metrics is None:
-            return
-        self.metrics.increment("serving.ir.searches")
-        if cached:
-            self.metrics.increment("serving.ir.cache_hits")
-        else:
-            self.metrics.increment("serving.ir.cache_misses")
-        self.metrics.record(
-            "serving.ir.search_seconds", time.perf_counter() - start
-        )
+    def cache_stats(self) -> dict | None:
+        return self.cache.stats() if self.cache is not None else None

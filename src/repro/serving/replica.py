@@ -1,50 +1,45 @@
 """Per-shard read replicas: WAL shipping, promotion, failover reads.
 
-Each shard of the serving tier is a :class:`ShardReplicaSet` — one
-**primary** store taking writes plus N **replicas** fed from the
-primary's per-shard write-ahead log.  The machinery is the
-``repro.durability`` stack end to end: the primary journals logical
-ops through the :class:`~repro.durability.manager.Durable` protocol,
-every mutation seals its journal into one checksummed WAL record
-(append + fsync, ack-after-fsync), and replicas apply *acknowledged*
-records in LSN order via ``durable_apply``.  Periodic snapshots
-(``snapshot_every``) bound WAL replay: a replica that has fallen
-behind a snapshot bootstraps from the snapshot file, then replays the
-WAL suffix — the same recovery path a crashed process uses.
+Each shard of the serving tier is a :class:`ShardReplicaSet`: one
+**primary** store, the single store attached to the shard's own
+:class:`~repro.durability.manager.DurabilityManager` (its own WAL,
+snapshot and metrics), plus N **replicas** that apply *acknowledged*
+records (committed with append + fsync) in LSN order via
+``durable_apply``.  A replica behind the manager's latest snapshot
+bootstraps from the snapshot file first.
 
-**Read consistency.**  A replica is eligible to serve a read only
-while it is *fully caught up* (``applied_lsn == durable_lsn``); a
-lagging replica is skipped and the primary serves.  Combined with the
-cache's stamp-before-fan-out epoch protocol, a read can never observe
-a state older than the epoch vector it was stamped with — replication
-lag shifts load back to the primary instead of leaking stale results.
+**Read consistency.**  Only a *fully caught-up* replica
+(``applied_lsn == durable_lsn``) serves a read; otherwise the primary
+does.  With the cache's stamp-before-fan-out epochs, a read never
+observes a state older than its stamp — replication lag shifts load
+back to the primary instead of leaking stale results.
 
 **Promotion.**  When the primary dies (process crash, poisoned WAL
-after an fsync error), the most-caught-up replica is promoted: it
-recovers from the *surviving bytes* — snapshot, then WAL replay with
-torn-tail truncation — exactly as a restarted process would, so the
-promoted primary holds every acknowledged write (and possibly a few
+after an fsync error), a fresh store recovers from the shard's
+*surviving bytes* through a fresh manager's ``recover()`` — snapshot,
+then WAL replay with torn-tail truncation — exactly as a restarted
+process would.  It holds every acknowledged write (and possibly some
 complete-but-unacknowledged records that survived the page cache,
-which the durability contract allows).  A fresh replica is then
-rebuilt from the snapshot + record mirror so the set keeps its
-replication factor.
+which the durability contract allows); the replicas, which only ever
+applied acknowledged records, then catch up to it.
 """
 
 from __future__ import annotations
 
-import json
 import threading
-import time
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.durability.fs import MemFS
-from repro.durability.snapshot import load_snapshot, write_snapshot
-from repro.durability.wal import WriteAheadLog
+from repro.durability.manager import DurabilityManager
+from repro.durability.snapshot import load_snapshot
 from repro.exceptions import DurabilityError, ReplicaError, SearchError
-from repro.runtime.executor import BatchExecutor
-from repro.search.engine import ScoredHit, SearchEngine
-from repro.serving.cache import QueryCache
-from repro.serving.router import ShardRouter
+from repro.search.engine import SearchEngine
+from repro.serving.core import (
+    FanOut,
+    ShardedKeywordSearch,
+    ShardRouter,
+    shard_router,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.durability.manager import Durable
@@ -66,9 +61,9 @@ class ShardReplicaSet:
 
     Args:
         shard_id: shard index (names the WAL/snapshot files).
-        store_factory: builds an empty ``Durable`` store; called once
-            for the primary and once per replica, so every copy starts
-            structurally identical.
+        store_factory: builds an empty ``Durable`` store; called for
+            the primary, once per replica and on every promotion, so
+            every copy starts structurally identical.
         n_replicas: replication factor (>= 0; 0 keeps the WAL machinery
             but leaves nothing to promote).
         fs: durability filesystem for the shard's WAL + snapshots
@@ -76,9 +71,9 @@ class ShardReplicaSet:
         ship_every: apply acknowledged records to replicas every Nth
             commit (1 = synchronous shipping; >1 creates real lag so
             the router's caught-up check earns its keep).
-        snapshot_every: write a snapshot and reset the WAL after this
-            many commits (``None`` disables).
-        metrics: registry for promotion/shipping counters.
+        snapshot_every: snapshot and reset the WAL after this many
+            commits (``None`` disables).
+        metrics: registry for the ``serving.replica.*`` counters.
     """
 
     def __init__(
@@ -98,40 +93,55 @@ class ShardReplicaSet:
         self.shard_id = shard_id
         self._factory = store_factory
         self.fs = fs if fs is not None else MemFS()
-        self.wal = WriteAheadLog(self.fs, f"shard-{shard_id}.wal")
-        self.snapshot_name = f"shard-{shard_id}.snapshot.json"
         self.ship_every = ship_every
         self.snapshot_every = snapshot_every
         self.metrics = metrics
         self.lock = threading.RLock()
-
-        self.primary = store_factory()
-        self.primary.journal = []
         self.replicas: list[Replica] = [
             Replica(store_factory()) for _ in range(n_replicas)
         ]
         self.down = False
-        self.next_lsn = 1
-        self.durable_lsn = 0
-        self.snapshot_lsn = 0
-        # Acknowledged records by LSN — the shipping mirror.  Everything
-        # here is fsynced; promotion re-reads the *disk* bytes instead,
-        # because a crash can strand this dict on the dead primary.
-        self._records: dict[int, dict] = {}
+        # Acknowledged ops by LSN, in LSN order: shipping never re-reads
+        # the WAL.  Promotion rebuilds it from the disk bytes.
+        self._records: dict[int, list] = {}
         self._commits_since_ship = 0
-        self._commits_since_snapshot = 0
         self._read_cursor = 0
         self.promotions = 0
-        self.replica_rebuilds = 0
+        self._attach(store_factory())
+
+    def _attach(self, primary) -> None:
+        """Make ``primary`` the store journaled by a fresh manager over
+        this shard's files (a fresh WAL object never inherits a dead
+        primary's unflushed buffer)."""
+        self.durability = DurabilityManager(
+            self.fs,
+            snapshot_every=self.snapshot_every,
+            wal_name=f"shard-{self.shard_id}.wal",
+            snapshot_name=f"shard-{self.shard_id}.snapshot.json",
+        )
+        self.durability.attach("store", primary)
+        self.primary = primary
+
+    @property
+    def wal(self):
+        return self.durability.wal
+
+    @property
+    def durable_lsn(self) -> int:
+        return self.durability.durable_lsn
+
+    @property
+    def snapshot_lsn(self) -> int:
+        return self.durability.snapshot_lsn
 
     # -- write path --------------------------------------------------------
 
-    def mutate(self, fn: Callable[[Any], Any]) -> int | None:
+    def mutate(self, fn: Callable[[Any], Any]) -> Any:
         """Apply one mutation to the primary and make it durable.
 
         ``fn`` receives the primary store; whatever it journals is
-        sealed into one WAL record whose LSN is returned (``None`` when
-        the mutation journaled nothing).  A failed flush marks the
+        committed as one WAL record (none when it journaled nothing),
+        and whatever it returns is returned.  A failed commit marks the
         primary down — after an fsync error its log tail is unknowable,
         so it must not acknowledge further writes; a replica takes over
         via :meth:`promote`.
@@ -143,61 +153,22 @@ class ShardReplicaSet:
                     "replica before writing"
                 )
             result = fn(self.primary)
-            ops = list(self.primary.journal or ())
-            if self.primary.journal:
-                self.primary.journal.clear()
-            if not ops:
-                return result if isinstance(result, int) else None
-            lsn = self.next_lsn
-            self.next_lsn += 1
-            record = {"lsn": lsn, "ops": ops}
+            ops = list(self.primary.journal)
             try:
-                self.wal.append(record)
-                self.wal.flush()
+                lsn = self.durability.commit()
             except DurabilityError:
                 self.down = True
                 raise
-            self.durable_lsn = lsn
-            self._records[lsn] = record
+            if lsn is None:
+                return result
+            if self.snapshot_lsn == lsn:
+                self._records.clear()  # the snapshot covers them all
+            else:
+                self._records[lsn] = ops
             self._commits_since_ship += 1
-            self._commits_since_snapshot += 1
-            if (
-                self.snapshot_every is not None
-                and self._commits_since_snapshot >= self.snapshot_every
-            ):
-                self.snapshot()
             if self._commits_since_ship >= self.ship_every:
                 self.ship()
-            return lsn
-
-    def snapshot(self) -> int:
-        """Persist the primary's full state and reset the WAL."""
-        with self.lock:
-            if self.down:
-                raise ReplicaError(
-                    f"shard {self.shard_id} primary is down; cannot snapshot"
-                )
-            try:
-                write_snapshot(
-                    self.fs,
-                    self.durable_lsn,
-                    {"store": self.primary.durable_snapshot()},
-                    self.snapshot_name,
-                )
-                self.wal.reset()
-            except DurabilityError:
-                self.down = True
-                raise
-            self.snapshot_lsn = self.durable_lsn
-            self._commits_since_snapshot = 0
-            # Records at or below the snapshot are covered by it.
-            self._records = {
-                lsn: rec
-                for lsn, rec in self._records.items()
-                if lsn > self.snapshot_lsn
-            }
-            self._count("snapshots_shipped")
-            return self.snapshot_lsn
+            return result
 
     # -- shipping ----------------------------------------------------------
 
@@ -207,32 +178,31 @@ class ShardReplicaSet:
         Returns the number of records applied across all replicas.
         """
         with self.lock:
-            applied = 0
-            for replica in self.replicas:
-                applied += self._catch_up(replica)
+            applied = sum(self._catch_up(replica) for replica in self.replicas)
             self._commits_since_ship = 0
             if applied:
                 self._count("records_shipped", applied)
             return applied
 
     def _catch_up(self, replica: Replica) -> int:
-        """Bring one replica to ``durable_lsn`` from snapshot + mirror."""
+        """Bring one replica to ``durable_lsn`` from snapshot + mirror
+        (replica journals are off: they are never attached)."""
         applied = 0
         if replica.applied_lsn < self.snapshot_lsn:
-            snapshot = load_snapshot(self.fs, self.snapshot_name)
+            snapshot = load_snapshot(self.fs, self.durability.snapshot_name)
             if snapshot is None:
                 raise ReplicaError(
-                    f"shard {self.shard_id} snapshot {self.snapshot_name} "
-                    f"missing while replica lags it"
+                    f"shard {self.shard_id} snapshot missing while a "
+                    "replica lags it"
                 )
-            self._quiet_restore(replica.store, snapshot["stores"]["store"])
+            replica.store.durable_restore(snapshot["stores"]["store"])
             replica.applied_lsn = int(snapshot.get("lsn", 0))
             applied += 1
-        for lsn in sorted(self._records):
+        for lsn, ops in self._records.items():
             if lsn <= replica.applied_lsn:
                 continue
-            for op in self._records[lsn]["ops"]:
-                self._quiet_apply(replica.store, op)
+            for op in ops:
+                replica.store.durable_apply(op)
             replica.applied_lsn = lsn
             applied += 1
         return applied
@@ -240,32 +210,26 @@ class ShardReplicaSet:
     # -- reads -------------------------------------------------------------
 
     def read_store(self):
-        """The store that serves the next read.
-
-        Caught-up replicas are preferred (round-robin) so reads scale
-        out; a lagging replica is skipped — it would serve a stale
-        epoch.  With the primary down this raises
-        :class:`ReplicaError`; the tier promotes and retries.
-        """
+        """The store that serves the next read: a caught-up replica
+        (round-robin), else the primary.  With the primary down this
+        raises :class:`ReplicaError`; the tier promotes and retries."""
         with self.lock:
-            if not self.down:
-                eligible = [
-                    replica
-                    for replica in self.replicas
-                    if replica.applied_lsn == self.durable_lsn
-                ]
-                if eligible:
-                    self._read_cursor = (self._read_cursor + 1) % len(
-                        eligible
-                    )
-                    self._count("replica_reads")
-                    return eligible[self._read_cursor].store
+            if self.down:
+                raise ReplicaError(
+                    f"shard {self.shard_id} primary is down; reads need a "
+                    "promotion"
+                )
+            eligible = [
+                replica
+                for replica in self.replicas
+                if replica.applied_lsn == self.durable_lsn
+            ]
+            if not eligible:
                 self._count("primary_reads")
                 return self.primary
-            raise ReplicaError(
-                f"shard {self.shard_id} primary is down; reads need a "
-                "promotion"
-            )
+            self._read_cursor = (self._read_cursor + 1) % len(eligible)
+            self._count("replica_reads")
+            return eligible[self._read_cursor].store
 
     def lag_lsns(self) -> list[int]:
         """Per-replica lag behind the durable LSN, in LSNs."""
@@ -283,66 +247,32 @@ class ShardReplicaSet:
             self.down = True
 
     def promote(self) -> int:
-        """Promote the most-caught-up replica to primary.
+        """Replace the dead primary with one recovered from disk.
 
-        The candidate recovers from the shard's *durable bytes* — load
-        the snapshot if it is ahead of the replica, then replay the WAL
-        suffix with torn-tail truncation — so the new primary reflects
-        every acknowledged record regardless of shipping lag.  Returns
-        the recovered durable LSN.
+        A fresh store recovers from the shard's *durable bytes* — the
+        snapshot, then the WAL suffix with torn-tail truncation — so
+        the new primary reflects every acknowledged record regardless
+        of shipping lag; the replicas then catch up to it.  A set with
+        no replica has no standby to promote.  Returns the recovered
+        durable LSN.
         """
         with self.lock:
             if not self.replicas:
                 raise ReplicaError(
                     f"shard {self.shard_id} has no replica to promote"
                 )
-            candidate = max(self.replicas, key=lambda r: r.applied_lsn)
-            self.replicas.remove(candidate)
-
-            snapshot = load_snapshot(self.fs, self.snapshot_name)
-            snapshot_lsn = 0
-            if snapshot is not None:
-                snapshot_lsn = int(snapshot.get("lsn", 0))
-                if candidate.applied_lsn < snapshot_lsn:
-                    self._quiet_restore(
-                        candidate.store, snapshot["stores"]["store"]
-                    )
-                    candidate.applied_lsn = snapshot_lsn
-            # The dead primary's WAL object may still buffer records
-            # from a failed flush; a fresh one reads only disk bytes.
-            self.wal = WriteAheadLog(self.fs, self.wal.name)
-            replayed = self.wal.replay(truncate_torn=True)
-            records: dict[int, dict] = {}
-            last_lsn = max(candidate.applied_lsn, snapshot_lsn)
-            for record in replayed.records:
-                lsn = int(record.get("lsn", 0))
-                if lsn <= snapshot_lsn:
-                    continue
-                records[lsn] = record
-                if lsn > candidate.applied_lsn:
-                    for op in record["ops"]:
-                        self._quiet_apply(candidate.store, op)
-                    candidate.applied_lsn = lsn
-                last_lsn = max(last_lsn, lsn)
-
-            self.primary = candidate.store
-            self.primary.journal = []
+            self._attach(self._factory())
+            self.durability.recover()
+            self._records = {
+                int(record["lsn"]): record["ops"]["store"]
+                for record in self.wal.replay().records
+                if int(record["lsn"]) > self.snapshot_lsn
+            }
             self.down = False
-            self.durable_lsn = last_lsn
-            self.next_lsn = last_lsn + 1
-            self.snapshot_lsn = snapshot_lsn
-            self._records = records
             self.promotions += 1
             self._count("promotions")
-            self._rebuild_replica()
+            self.ship()
             return self.durable_lsn
-
-    def _rebuild_replica(self) -> None:
-        """Restore the replication factor with a fresh bootstrap."""
-        replica = Replica(self._factory())
-        self._catch_up(replica)
-        self.replicas.append(replica)
-        self.replica_rebuilds += 1
 
     # -- observability -----------------------------------------------------
 
@@ -355,80 +285,26 @@ class ShardReplicaSet:
                 "n_replicas": len(self.replicas),
                 "lag_lsns": self.lag_lsns(),
                 "promotions": self.promotions,
-                "replica_rebuilds": self.replica_rebuilds,
             }
-
-    # -- internals ---------------------------------------------------------
 
     def _count(self, name: str, amount: int = 1) -> None:
         if self.metrics is not None:
             self.metrics.increment(f"serving.replica.{name}", amount)
 
-    @staticmethod
-    def _quiet_apply(store, op: dict) -> None:
-        journal, store.journal = store.journal, None
-        try:
-            store.durable_apply(op)
-        finally:
-            store.journal = journal
 
-    @staticmethod
-    def _quiet_restore(store, state: dict) -> None:
-        journal, store.journal = store.journal, None
-        try:
-            store.durable_restore(state)
-        finally:
-            store.journal = journal
-
-
-class _ReplicatedFieldStats:
-    """Global corpus statistics summed across every shard's primary.
-
-    Primaries hold every acknowledged write, and replicas only serve
-    while byte-equivalent to their primary, so these statistics are
-    exact for whichever copy executes the query.
-    """
-
-    __slots__ = ("_field", "_sets")
-
-    def __init__(self, field_name: str, sets: list[ShardReplicaSet]):
-        self._field = field_name
-        self._sets = sets
-
-    @property
-    def n_documents(self) -> int:
-        return sum(
-            s.primary._field_index(self._field).n_documents
-            for s in self._sets
-        )
-
-    @property
-    def total_length(self) -> int:
-        return sum(
-            s.primary._field_index(self._field).total_length
-            for s in self._sets
-        )
-
-    def document_frequency(self, term: str) -> int:
-        return sum(
-            s.primary._field_index(self._field).document_frequency(term)
-            for s in self._sets
-        )
-
-
-class ReplicatedShardedSearchEngine:
+class ReplicatedShardedSearchEngine(ShardedKeywordSearch):
     """N-way sharded search where every shard is a replica set.
 
     Semantically identical to
-    :class:`~repro.serving.engine.ShardedSearchEngine` — exact rank
-    equivalence via global BM25 statistics, epoch-stamped query cache —
-    but each shard survives its primary's death: reads fail over to the
-    most-caught-up replica (promotion recovers from the shard WAL) and
-    writes resume against the promoted primary.
+    :class:`~repro.serving.engine.ShardedSearchEngine` — the same
+    serving core: exact rank equivalence via global BM25 statistics
+    and an epoch-stamped query cache — but each shard survives its
+    primary's death: reads and writes routed to a dead primary promote
+    a replacement recovered from the shard WAL, then proceed.
 
     Args:
         n_shards / field_analyzers / default_field / router /
-            cache_size / metrics: as for ``ShardedSearchEngine``.
+            cache_size: as for ``ShardedSearchEngine``.
         n_replicas: replicas per shard.
         ship_every / snapshot_every: replication cadence (see
             :class:`ShardReplicaSet`).
@@ -436,6 +312,7 @@ class ReplicatedShardedSearchEngine:
             (``MemFS`` each when omitted; fuzzing injects faults here).
         executor_mode: fan-out executor mode (``"serial"`` for
             deterministic tests).
+        metrics: registry for the ``serving.replica.*`` metrics.
     """
 
     def __init__(
@@ -452,20 +329,13 @@ class ReplicatedShardedSearchEngine:
         executor_mode: str = "thread",
         metrics: "MetricsRegistry | None" = None,
     ):
-        self.router = router if router is not None else ShardRouter(n_shards)
-        if self.router.n_shards != n_shards:
-            raise SearchError(
-                f"router has {self.router.n_shards} shards, engine asked "
-                f"for {n_shards}"
-            )
+        self.router = shard_router(router, n_shards, SearchError)
         self.default_field = default_field
         self.metrics = metrics
-        self._field_analyzers = field_analyzers
-        self._field_stats: dict[str, _ReplicatedFieldStats] = {}
 
         def factory() -> SearchEngine:
             store = SearchEngine(field_analyzers, default_field=default_field)
-            store.stats_provider = self._stats_for_field
+            store.stats_provider = self._global_stats()
             return store
 
         self.sets: list[ShardReplicaSet] = [
@@ -480,11 +350,13 @@ class ReplicatedShardedSearchEngine:
             )
             for shard_id in range(n_shards)
         ]
-        self.cache = (
-            QueryCache(cache_size, self.router.epochs) if cache_size else None
-        )
-        self._executor = BatchExecutor(
-            workers=n_shards, mode=executor_mode
+        self.fan_out = FanOut(
+            "replica",
+            n_shards,
+            self.router.epochs,
+            cache_size,
+            metrics,
+            mode=executor_mode,
         )
         self.failovers = 0
 
@@ -492,48 +364,32 @@ class ReplicatedShardedSearchEngine:
     def n_shards(self) -> int:
         return len(self.sets)
 
-    @property
-    def n_documents(self) -> int:
-        return sum(s.primary.n_documents for s in self.sets)
+    def _primaries(self) -> list[SearchEngine]:
+        # Primaries hold every acknowledged write, and replicas only
+        # serve while equal to their primary, so statistics summed
+        # over primaries are exact for whichever copy runs the query.
+        return [s.primary for s in self.sets]
 
-    def replica_set(self, shard_id: int) -> ShardReplicaSet:
-        return self.sets[shard_id]
-
-    def _stats_for_field(self, field_name: str) -> _ReplicatedFieldStats:
-        stats = self._field_stats.get(field_name)
-        if stats is None:
-            stats = _ReplicatedFieldStats(field_name, self.sets)
-            self._field_stats[field_name] = stats
-        return stats
-
-    # -- indexing ----------------------------------------------------------
-
-    def index(self, doc_id: Any, fields: dict[str, str]) -> None:
-        """Index (or re-index) a document on its owning replica set."""
-        shard_id = self.router.shard_of(doc_id)
-        self._mutate(shard_id, lambda store: store.index(doc_id, fields))
-        self.router.bump(shard_id)
-
-    def delete(self, doc_id: Any) -> bool:
-        """Remove a document; returns False when it was absent."""
-        shard_id = self.router.shard_of(doc_id)
-        outcome: list[bool] = []
-        self._mutate(
-            shard_id,
-            lambda store: outcome.append(store.delete(doc_id)),
-        )
-        if outcome[0]:
-            self.router.bump(shard_id)
-        return outcome[0]
-
-    def _mutate(self, shard_id: int, fn) -> None:
+    def _write(self, shard_id: int, fn: Callable[[SearchEngine], Any]) -> Any:
         """Write through the shard's primary, failing over once when it
         is already known to be down."""
         try:
-            self.sets[shard_id].mutate(fn)
+            return self.sets[shard_id].mutate(fn)
         except ReplicaError:
             self.promote(shard_id)
-            self.sets[shard_id].mutate(fn)
+            return self.sets[shard_id].mutate(fn)
+
+    def _read(self, shard_id: int, fn: Callable[[SearchEngine], Any]) -> Any:
+        """``fn`` on the shard's serving copy, promoting first when the
+        primary is down; the set's lock holds the copy still."""
+        replica_set = self.sets[shard_id]
+        with replica_set.lock:
+            try:
+                store = replica_set.read_store()
+            except ReplicaError:
+                self.promote(shard_id)
+                store = replica_set.read_store()
+            return fn(store)
 
     # -- failover ----------------------------------------------------------
 
@@ -542,7 +398,7 @@ class ReplicatedShardedSearchEngine:
         self.sets[shard_id].crash_primary()
 
     def promote(self, shard_id: int) -> int:
-        """Promote a replica on one shard and invalidate cached reads.
+        """Promote on one shard and invalidate cached reads.
 
         The promoted state can differ from the dead primary's memory
         (unacknowledged writes are legitimately lost), so the shard
@@ -560,104 +416,9 @@ class ReplicatedShardedSearchEngine:
         """Force shipping on every shard (tests, graceful drains)."""
         return sum(s.ship() for s in self.sets)
 
-    # -- search ------------------------------------------------------------
-
-    def search(self, query: str | dict, size: int = 10) -> list[ScoredHit]:
-        """Top ``size`` hits, exactly as the unsharded engine ranks
-        them, served by caught-up replicas or primaries."""
-        start = time.perf_counter()
-        if isinstance(query, str):
-            query = {"match": {self.default_field: query}}
-        key = None
-        stamp = None
-        if self.cache is not None:
-            key = (_canonical(query), size)
-            cached = self.cache.get(key)
-            if cached is not None:
-                self._record_search(start, cached=True)
-                return list(cached)
-            # Stamp before fan-out: a mutation or promotion landing
-            # mid-query makes this entry stale at store time.
-            stamp = self.router.epochs()
-        hits = self._fan_out(query, size)
-        if self.cache is not None:
-            self.cache.put(key, list(hits), stamp=stamp)
-        self._record_search(start, cached=False)
-        return hits
-
-    def _fan_out(self, query: dict, size: int) -> list[ScoredHit]:
-        outcomes = self._executor.map(
-            lambda shard_id: self._shard_search(shard_id, query, size),
-            range(self.n_shards),
-        )
-        merged: list[ScoredHit] = []
-        for shard_id, outcome in enumerate(outcomes):
-            if not outcome.ok:
-                raise outcome.error
-            if self.metrics is not None:
-                self.metrics.record(
-                    f"serving.replica.shard{shard_id}.search_seconds",
-                    outcome.duration,
-                )
-            merged.extend(outcome.value)
-        merged.sort(key=lambda hit: (-hit.score, str(hit.doc_id)))
-        return merged[:size]
-
-    def _shard_search(self, shard_id: int, query: dict, size: int):
-        set_ = self.sets[shard_id]
-        with set_.lock:
-            try:
-                store = set_.read_store()
-            except ReplicaError:
-                self.promote(shard_id)
-                store = set_.read_store()
-            return store.search(query, size=size)
-
-    def highlight(
-        self, doc_id: Any, field: str, query_text: str, window: int = 60
-    ) -> list[str]:
-        """Snippets from the owning shard's serving copy."""
-        shard_id = self.router.shard_of(doc_id)
-        set_ = self.sets[shard_id]
-        with set_.lock:
-            try:
-                store = set_.read_store()
-            except ReplicaError:
-                self.promote(shard_id)
-                store = set_.read_store()
-            return store.highlight(doc_id, field, query_text, window=window)
-
-    def _record_search(self, start: float, cached: bool) -> None:
-        if self.metrics is None:
-            return
-        self.metrics.increment("serving.replica.searches")
-        if cached:
-            self.metrics.increment("serving.replica.cache_hits")
-        else:
-            self.metrics.increment("serving.replica.cache_misses")
-        self.metrics.record(
-            "serving.replica.search_seconds", time.perf_counter() - start
-        )
-
-    def close(self) -> None:
-        self._executor.close()
-
-    # -- observability -----------------------------------------------------
-
     def stats(self) -> dict:
         """Replication health for ``/stats``: lag, promotions, epochs."""
-        out = {
-            "n_shards": self.n_shards,
-            "epochs": list(self.router.epochs()),
-            "shard_documents": [s.primary.n_documents for s in self.sets],
-            "failovers": self.failovers,
-            "replication": [s.stats() for s in self.sets],
-        }
-        if self.cache is not None:
-            out["cache"] = self.cache.stats()
+        out = super().stats()
+        out["failovers"] = self.failovers
+        out["replication"] = [s.stats() for s in self.sets]
         return out
-
-
-def _canonical(query: dict) -> str:
-    """Stable cache key text for a query dict."""
-    return json.dumps(query, sort_keys=True, ensure_ascii=False, default=str)

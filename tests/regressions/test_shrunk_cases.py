@@ -141,3 +141,34 @@ class TestPostingsOrderRegression:
         assert [p.doc_ord for p in index.postings("renal")] == [1, 2]
         index.add_document(0, tokens("renal"))
         assert [p.doc_ord for p in index.postings("renal")] == [0, 1, 2]
+
+
+# Found by: a write landing on shard 0 after that shard answered, in
+# the middle of a two-shard ShardedIrSearcher fan-out.  The searcher
+# stamped the fused result with the epoch vector taken *after* the
+# fan-out, so the stale ``[d1]`` answer was cached as fresh and served
+# to the next identical query, while a cold searcher returned
+# ``[d2, d1]``.  Both documents hash to shard 0 of 2.
+class TestIrFanOutStaleCacheRegression:
+    def test_direct_behaviour(self):
+        from repro.serving import ShardedIrIndexer, ShardedIrSearcher
+
+        indexer = ShardedIrIndexer(2)
+        searcher = ShardedIrSearcher(indexer, cache_size=4)
+        indexer.index_report("d1", "", "fever report", (), ())
+        shard = indexer.engine.shards[indexer.router.shard_of("d1")]
+        assert indexer.router.shard_of("d2") == indexer.router.shard_of("d1")
+        answer = shard.search
+
+        def answer_then_write(query, size=10):
+            hits = answer(query, size=size)
+            shard.search = answer
+            indexer.index_report("d2", "", "fever fever", (), ())
+            return hits
+
+        shard.search = answer_then_write
+        raced = [r.doc_id for r in searcher.search("fever")]
+        assert raced == ["d1"]
+        cold = [r.doc_id for r in ShardedIrSearcher(indexer).search("fever")]
+        assert cold == ["d2", "d1"]
+        assert [r.doc_id for r in searcher.search("fever")] == cold

@@ -165,10 +165,21 @@ class TestIntParamValidation:
         ("GET", "/review/queue", {}, ["skip", "limit"]),
     ]
 
-    @pytest.mark.parametrize("bad", ["abc", "-1", "1.5", ""])
+    @pytest.mark.parametrize("bad", ["abc", "-1", "1.5", "", ["1", "2"]])
     def test_bad_values_return_400(self, cohort_app, bad):
         for method, path, base_params, names in self.PAGINATED_ROUTES:
             for name in names:
+                response = cohort_app.handle(
+                    method, path, params={**base_params, name: bad}
+                )
+                assert response.status == 400, (path, name, bad)
+                assert isinstance(response.body, dict), (path, name, bad)
+                assert name in response.body["error"], (path, name, bad)
+
+    @pytest.mark.parametrize("bad", [["fever", "fever"], [], None, 3])
+    def test_non_string_text_params_return_400(self, cohort_app, bad):
+        for method, path, base_params, _names in self.PAGINATED_ROUTES:
+            for name in [key for key in base_params if key == "q"]:
                 response = cohort_app.handle(
                     method, path, params={**base_params, name: bad}
                 )

@@ -355,35 +355,75 @@ def test_pipeline_serving_shards_wiring(demo_system):
 # -- cache under concurrent epoch bumps & empty shards (robustness) ----------
 
 
-def test_mutation_during_fanout_never_caches_stale():
-    """End-to-end stamp-before-fan-out race: a write that lands while
-    shards are computing must make the in-flight entry stale on
-    arrival, so the next identical query recomputes and sees the
-    write."""
+def _race_engine():
     engine = _engine(2, cache_size=8)
-    for i in range(6):
-        engine.index(f"d{i}", {"body": f"fever report {i}", "title": ""})
 
-    shard = engine.shards[0]
+    def write(doc_id, text):
+        engine.index(doc_id, {"body": text, "title": ""})
+
+    return engine, engine.router, engine.shards[0], write
+
+
+def _race_replicated():
+    from repro.serving import ReplicatedShardedSearchEngine
+
+    tier = ReplicatedShardedSearchEngine(
+        2, n_replicas=1, cache_size=8, executor_mode="serial"
+    )
+
+    def write(doc_id, text):
+        tier.index(doc_id, {"body": text, "title": ""})
+
+    # Shipping is synchronous, so the caught-up replica serves reads.
+    return tier, tier.router, tier.sets[0].replicas[0].store, write
+
+
+def _race_ir():
+    indexer = ShardedIrIndexer(2)
+    searcher = ShardedIrSearcher(indexer, cache_size=8)
+
+    def write(doc_id, text):
+        indexer.index_report(doc_id, "", text, spans=(), relations=())
+
+    return searcher, indexer.router, indexer.engine.shards[0], write
+
+
+@pytest.mark.parametrize(
+    "build", [_race_engine, _race_replicated, _race_ir],
+    ids=["engine", "replicated", "ir"],
+)
+def test_mutation_during_fanout_never_caches_stale(build):
+    """End-to-end stamp-before-fan-out race: a write that lands on a
+    shard after that shard has answered must make the in-flight entry
+    stale on arrival, so the next identical query recomputes and sees
+    the write."""
+    searcher, router, shard, write = build()
+    for i in range(6):
+        write(f"d{i}", f"fever report {i}")
+    late = next(
+        f"late{i}" for i in range(100) if router.shard_of(f"late{i}") == 0
+    )
+
     original = shard.search
     fired = []
 
     def racing_search(query, size=10):
+        hits = original(query, size=size)
         if not fired:
             fired.append(True)
-            # A write races the fan-out AFTER the stamp was captured.
-            engine.index("d100", {"body": "late fever arrival", "title": ""})
-        return original(query, size=size)
+            write(late, "late fever arrival")
+        return hits
 
     shard.search = racing_search
-    engine.search("fever", size=10)
+    first = [hit.doc_id for hit in searcher.search("fever", size=10)]
     shard.search = original
+    assert fired and late not in first
 
-    # The raced entry must have been dropped at put time; this search
-    # is a cache miss that recomputes under the new epoch vector.
-    second = [hit.doc_id for hit in engine.search("fever", size=10)]
-    assert "d100" in second
-    assert engine.cache.stats()["stale_drops"] >= 1
+    # The raced entry is stale on arrival; this search is a cache miss
+    # that recomputes under the new epochs and sees the write.
+    second = [hit.doc_id for hit in searcher.search("fever", size=10)]
+    assert late in second
+    assert searcher.cache.stats()["stale_drops"] >= 1
 
 
 def test_concurrent_epoch_bumps_from_threads_keep_cache_coherent():
